@@ -1,15 +1,16 @@
 # Developer entry points. `make check` is the PR gate: the tier-1 test
-# suite plus a smoke import of every repro.* module.
+# suite, a smoke import of every repro.* module, the benchmark runner's
+# self-tests, and the subsystem benchmark gates.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check test smoke bench bench-fig2 bench-obs bench-sweep \
 	bench-faults bench-traffic bench-fluid-scale bench-routing \
-	bench-service bench-cc bench-report clean
+	bench-service bench-cc bench-selftest bench-report clean
 
-check: test smoke bench-obs bench-sweep bench-faults bench-traffic \
-	bench-fluid-scale bench-routing bench-service bench-cc
+check: test smoke bench-selftest bench-obs bench-sweep bench-faults \
+	bench-traffic bench-fluid-scale bench-routing bench-service bench-cc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -19,6 +20,11 @@ smoke:
 	mods = ['repro'] + [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]; \
 	[importlib.import_module(name) for name in mods]; \
 	print('smoke-imported', len(mods), 'modules')"
+
+# Self-tests of the end-to-end benchmark runner (perfbench/: metric
+# math, layer attribution, report formatting); ~3 s.
+bench-selftest:
+	$(PYTHON) -m pytest perfbench -q
 
 # Full per-figure benchmark harness (writes results/*.txt).
 bench:
@@ -52,14 +58,15 @@ bench-traffic:
 	$(PYTHON) -m pytest benchmarks/test_traffic_churn.py -q -o testpaths=
 
 # Fluid-core scale gate: the vectorized max-min kernel must match the
-# Python oracle bit-for-bit, and solve a 100-city gravity snapshot with
+# Python oracle bit-for-bit (and FluidSimulation the test-only oracle
+# stepper in tests/_fluid_oracle.py), and solve a 100-city gravity snapshot with
 # >= 1e5 concurrent flows at >= 10x the per-flow solver (throughput
 # half auto-skips below 4 cores).  Appends results/BENCH_fluid_scale.json.
 bench-fluid-scale:
 	$(PYTHON) -m pytest benchmarks/test_fluid_scale.py -q -o testpaths=
 
 # Incremental-routing gate: repaired destination trees must equal the
-# from-scratch solve bit-for-bit (serial and workers=4), and reach 5x
+# from-scratch RoutingEngine oracle bit-for-bit (serial and workers=4), and reach 5x
 # per-snapshot routing time on S1 under sparse topology deltas (speedup
 # half auto-skips below 4 cores).  Appends
 # results/BENCH_routing_incremental.json.
@@ -67,8 +74,8 @@ bench-routing:
 	$(PYTHON) -m pytest benchmarks/test_routing_incremental.py -q -o testpaths=
 
 # Live-service gate: checkpoint -> restore -> continue must be
-# bit-identical to never stopping (packet + both max-min fluid
-# kernels), and sweep warm-starts must splice bit-identically (serial
+# bit-identical to never stopping (packet + max-min fluid engines),
+# and sweep warm-starts must splice bit-identically (serial
 # and workers=4).  Appends results/BENCH_service_restore.json.
 bench-service:
 	$(PYTHON) -m pytest benchmarks/test_service_restore.py -q -o testpaths=

@@ -6,7 +6,8 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
   bit-identical to the fixed pure-Python progressive-filling oracle —
   on random scenarios with repeated link traversals and demand caps, on
   a static permutation workload run end-to-end through
-  ``FluidSimulation`` with both kernels, and on the full-scale gravity
+  ``FluidSimulation`` against the test-only oracle stepper
+  (``tests/_fluid_oracle.py``), and on the full-scale gravity
   allocation below.
 * **Scale, gated on machine capability.**  A 100-city gravity matrix
   with >= 1e5 concurrent flows per snapshot must solve at interactive
@@ -21,7 +22,9 @@ the throughput trajectory across commits/machines is preserved.
 
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,10 @@ from repro.fluid.vectorized import (max_min_fair_allocation_vectorized,
                                     waterfill)
 from repro.traffic import TrafficMatrix
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
 from _common import RESULTS_DIR, scaled, write_result
+from _fluid_oracle import ReferenceFluidSimulation
 
 NUM_CITIES = 100
 NUM_FLOWS = scaled(100_000, 1_000_000)
@@ -114,13 +120,10 @@ def test_static_permutation_bit_identical():
     hypatia = Hypatia.from_shell_name("K1", num_cities=NUM_CITIES)
     pairs = random_permutation_pairs(NUM_CITIES)
     flows = [FluidFlow(src, dst) for src, dst in pairs]
-    results = {}
-    for kernel in ("reference", "vectorized"):
-        sim = FluidSimulation(hypatia.network, flows,
-                              link_capacity_bps=LINK_CAPACITY_BPS,
-                              kernel=kernel)
-        results[kernel] = sim.run(duration_s=4.0, step_s=2.0)
-    ref, vec = results["reference"], results["vectorized"]
+    ref, vec = [cls(hypatia.network, flows,
+                    link_capacity_bps=LINK_CAPACITY_BPS).run(
+                        duration_s=4.0, step_s=2.0)
+                for cls in (ReferenceFluidSimulation, FluidSimulation)]
     assert np.array_equal(ref.flow_rates_bps, vec.flow_rates_bps)
     assert ref.device_load_bps == vec.device_load_bps
     assert ref.flow_paths == vec.flow_paths

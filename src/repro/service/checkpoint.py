@@ -5,21 +5,25 @@ A checkpoint file is::
     MAGIC | header-length (8 bytes, big-endian) | JSON header | pickle
 
 The JSON header carries everything a reader needs *before* trusting the
-payload — format version, engine, kernel, simulated time, and the
+payload — format version, engine, simulated time, the
 :func:`spec_fingerprint` of the :class:`~repro.sweep.spec.NetworkSpec`
-that built the simulator — so version and spec-compatibility checks
-never unpickle anything.  The pickle payload is the live object graph
-(event queue, devices, transports, fluid run state, RNG streams, ...);
-determinism of the restore is what ``tests/test_service.py`` proves.
+that built the simulator, and the sha256 of the pickle body — so
+version and spec-compatibility checks never unpickle anything, and a
+truncated or corrupted body is rejected before it is unpickled.  The
+pickle payload is the live object graph (event queue, devices,
+transports, fluid run state, RNG streams, ...); determinism of the
+restore is what ``tests/test_service.py`` proves.
 
 Compatibility contract:
 
 * :data:`CHECKPOINT_FORMAT_VERSION` bumps on any layout change; loading
   a mismatched version raises :class:`CheckpointVersionError`.
 * Resuming against a different network spec (different shells, ground
-  segment, faults, workload, ...) raises :class:`CheckpointSpecError`
-  unless the caller explicitly opts out — silently resuming a Kuiper
-  checkpoint on a Starlink network is the failure mode this guards.
+  segment, faults, workload, ...) raises :class:`CheckpointSpecError` —
+  silently resuming a Kuiper checkpoint on a Starlink network is the
+  failure mode this guards.
+* :func:`save_checkpoint` replaces the target atomically: a save that
+  fails (or a process killed mid-write) leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import io
 import json
 import math
+import os
 import pickle
+import tempfile
 from typing import Any, BinaryIO, Dict, Optional
 
 import numpy as np
@@ -45,7 +50,8 @@ __all__ = [
 ]
 
 #: Bump on any change to the file layout or the pickled payload shape.
-CHECKPOINT_FORMAT_VERSION = 1
+#: v2: the header dropped ``kernel`` and gained ``body_sha256``.
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
@@ -146,7 +152,6 @@ class Checkpoint:
             engines the simulation plus its
             :class:`~repro.fluid.engine.FluidRunState`, for a sweep
             the completed-prefix timelines and the resume cursor.
-        kernel: Fluid allocation kernel (``""`` for the packet engine).
         meta: Free-form provenance (scenario name, epoch length, ...);
             must be JSON-expressible.
         format_version: Stamped automatically; only loads override it.
@@ -155,7 +160,7 @@ class Checkpoint:
     """
 
     def __init__(self, spec: NetworkSpec, engine: str, time_s: float,
-                 payload: Dict[str, Any], kernel: str = "",
+                 payload: Dict[str, Any],
                  meta: Optional[Dict[str, Any]] = None,
                  format_version: int = CHECKPOINT_FORMAT_VERSION,
                  spec_hash: Optional[str] = None) -> None:
@@ -164,7 +169,6 @@ class Checkpoint:
                              f"use 'packet', 'fluid', or 'sweep'")
         self.spec = spec
         self.engine = engine
-        self.kernel = kernel
         self.time_s = float(time_s)
         self.payload = payload
         self.meta = dict(meta or {})
@@ -178,14 +182,12 @@ class Checkpoint:
             "format_version": self.format_version,
             "spec_hash": self.spec_hash,
             "engine": self.engine,
-            "kernel": self.kernel,
             "time_s": self.time_s,
             "meta": self.meta,
         }
 
     def __repr__(self) -> str:
-        return (f"Checkpoint(engine={self.engine!r}, "
-                f"kernel={self.kernel!r}, t={self.time_s}, "
+        return (f"Checkpoint(engine={self.engine!r}, t={self.time_s}, "
                 f"v{self.format_version}, "
                 f"spec={self.spec_hash[:12]})")
 
@@ -194,21 +196,39 @@ class Checkpoint:
 # File I/O
 # ----------------------------------------------------------------------
 
-def _write(stream: BinaryIO, checkpoint: Checkpoint) -> None:
-    header = json.dumps(checkpoint.header(), sort_keys=True,
-                        separators=(",", ":")).encode("utf-8")
-    stream.write(CHECKPOINT_MAGIC)
-    stream.write(len(header).to_bytes(_HEADER_LEN_BYTES, "big"))
-    stream.write(header)
-    pickle.dump({"spec": checkpoint.spec, "payload": checkpoint.payload},
-                stream, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 def save_checkpoint(path: str, checkpoint: Checkpoint) -> Dict[str, Any]:
-    """Write a checkpoint file; returns the header that was stamped."""
-    with open(path, "wb") as stream:
-        _write(stream, checkpoint)
-    return checkpoint.header()
+    """Write a checkpoint file; returns the header that was stamped.
+
+    The file is written to a temporary sibling, flushed and fsynced,
+    then renamed over ``path`` — so ``path`` holds either the previous
+    checkpoint or the complete new one, never a partial write.
+    """
+    body = pickle.dumps({"spec": checkpoint.spec,
+                         "payload": checkpoint.payload},
+                        protocol=pickle.HIGHEST_PROTOCOL)
+    header = dict(checkpoint.header(),
+                  body_sha256=hashlib.sha256(body).hexdigest())
+    raw = json.dumps(header, sort_keys=True,
+                     separators=(",", ":")).encode("utf-8")
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp_path = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp",
+                                    dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as stream:
+            stream.write(CHECKPOINT_MAGIC)
+            stream.write(len(raw).to_bytes(_HEADER_LEN_BYTES, "big"))
+            stream.write(raw)
+            stream.write(body)
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except FileNotFoundError:
+            pass
+        raise
+    return header
 
 
 def _read_header(stream: BinaryIO, path: str) -> Dict[str, Any]:
@@ -249,25 +269,23 @@ def read_checkpoint_header(path: str) -> Dict[str, Any]:
 
 
 def load_checkpoint(path: str,
-                    expected_spec: Optional[NetworkSpec] = None,
-                    check_spec: bool = True) -> Checkpoint:
+                    expected_spec: Optional[NetworkSpec] = None
+                    ) -> Checkpoint:
     """Read, validate, and unpickle a checkpoint file.
 
     Args:
         path: The checkpoint file.
         expected_spec: When given, the spec the caller is about to
             resume against; its fingerprint must match the header's.
-        check_spec: Set ``False`` to skip the internal
-            header-hash-vs-pickled-spec consistency check (never needed
-            outside of corruption forensics).
 
     Raises:
         CheckpointVersionError: Header format version differs from
             :data:`CHECKPOINT_FORMAT_VERSION`.
-        CheckpointSpecError: ``expected_spec``'s fingerprint (or the
-            pickled spec's, when ``check_spec``) does not match the
-            header's ``spec_hash``.
-        CheckpointError: Bad magic, truncation, or corrupt header.
+        CheckpointSpecError: ``expected_spec``'s fingerprint, or the
+            pickled spec's, does not match the header's ``spec_hash``.
+        CheckpointError: Bad magic, a truncated or corrupt header, or a
+            pickle body whose sha256 differs from the header's (checked
+            before anything is unpickled).
     """
     with open(path, "rb") as stream:
         header = _read_header(stream, path)
@@ -286,23 +304,20 @@ def load_checkpoint(path: str,
                     f"network spec (checkpoint {spec_hash[:12]}, "
                     f"expected {expected_hash[:12]}); resume against "
                     f"the original spec")
-        body = pickle.load(stream)
+        raw = stream.read()
+    if hashlib.sha256(raw).hexdigest() != header.get("body_sha256"):
+        raise CheckpointError(
+            f"{path}: checkpoint body ({len(raw)} bytes) does not match "
+            f"its header digest (file truncated or corrupt)")
+    body = pickle.loads(raw)
     spec = body["spec"]
-    if check_spec and spec_fingerprint(spec) != spec_hash:
+    if spec_fingerprint(spec) != spec_hash:
         raise CheckpointSpecError(
             f"{path}: header spec hash does not match the pickled spec "
             f"(file corrupt or tampered)")
     return Checkpoint(spec=spec, engine=str(header["engine"]),
-                      kernel=str(header.get("kernel", "")),
                       time_s=float(header["time_s"]),
                       payload=body["payload"],
                       meta=dict(header.get("meta", {})),
                       format_version=version,
                       spec_hash=spec_hash)
-
-
-def checkpoint_to_bytes(checkpoint: Checkpoint) -> bytes:
-    """The checkpoint file image as bytes (for tests and streaming)."""
-    stream = io.BytesIO()
-    _write(stream, checkpoint)
-    return stream.getvalue()

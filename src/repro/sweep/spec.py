@@ -149,37 +149,12 @@ class NetworkSpec:
             list(self.shells), name=self.constellation_name,
             epoch_offset_s=self.epoch_offset_s)
 
-    def static_isl_pairs(self) -> np.ndarray:
-        """The ISL interconnect this spec's network would carry.
-
-        Computed without building the full network: the parent side of a
-        shared-memory sweep publishes this array once so workers can
-        skip re-running the ISL builder (see :mod:`repro.sweep.shm`).
-        """
-        return np.asarray(ISL_BUILDERS[self.isl_builder](
-            self._constellation()))
-
-    def build(self, isl_pairs: Optional[np.ndarray] = None) -> LeoNetwork:
-        """Rebuild the network this spec describes (bit-identical).
-
-        Args:
-            isl_pairs: Optional precomputed ISL pair array (e.g. a
-                shared-memory view of :meth:`static_isl_pairs`).  Must
-                equal what the registered builder would produce — the
-                network copies it, so the view may be released once the
-                build returns.
-        """
-        if isl_pairs is None:
-            builder = ISL_BUILDERS[self.isl_builder]
-        else:
-            precomputed = np.array(isl_pairs)  # copy: outlive the view
-
-            def builder(constellation: Constellation) -> np.ndarray:
-                return precomputed
+    def build(self) -> LeoNetwork:
+        """Rebuild the network this spec describes (bit-identical)."""
         return LeoNetwork(
             self._constellation(), list(self.ground_stations),
             min_elevation_deg=self.min_elevation_deg,
-            isl_builder=builder,
+            isl_builder=ISL_BUILDERS[self.isl_builder],
             gsl_policy=self.gsl_policy,
             weather=self.weather,
             failed_satellites=self.failed_satellites,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.fluid.aimd import AimdFluidSimulation
 from repro.fluid.engine import FluidFlow, FluidSimulation, path_devices
@@ -9,6 +11,8 @@ from repro.fluid.maxmin import max_min_fair_allocation
 from repro.fluid.vectorized import (FlowLinkMatrix,
                                     max_min_fair_allocation_vectorized,
                                     waterfill)
+
+from _fluid_oracle import ReferenceFluidSimulation
 
 BOTH_KERNELS = [max_min_fair_allocation, max_min_fair_allocation_vectorized]
 
@@ -413,54 +417,106 @@ class TestVectorizedKernel:
         np.testing.assert_allclose(loads, [7.0])
 
 
-class TestEngineKernelParity:
-    """FluidSimulation's two kernels must agree bit-for-bit."""
+def _assert_runs_identical(ref, vec):
+    """Bit-identity of two fluid results, NaN FCTs (incomplete flows)
+    matching each other."""
+    assert np.array_equal(ref.flow_rates_bps, vec.flow_rates_bps)
+    assert ref.device_load_bps == vec.device_load_bps
+    assert ref.flow_paths == vec.flow_paths
+    if ref.flow_fct_s is None:
+        assert vec.flow_fct_s is None
+        assert vec.flow_delivered_bits is None
+        return
+    assert np.array_equal(ref.flow_delivered_bits, vec.flow_delivered_bits)
+    fct_ref, fct_vec = ref.flow_fct_s, vec.flow_fct_s
+    assert ((fct_ref == fct_vec) | (np.isnan(fct_ref)
+                                    & np.isnan(fct_vec))).all()
+    assert ref.perf["allocations_solved"] == \
+        vec.perf["allocations_solved"]
 
-    def _run_both(self, network, flows, **kwargs):
-        results = []
-        for kernel in ("reference", "vectorized"):
-            sim = FluidSimulation(network, flows, kernel=kernel, **kwargs)
-            results.append(sim.run(duration_s=4.0, step_s=2.0))
-        return results
+
+def _run_both(network, flows, duration_s=4.0, step_s=2.0, **kwargs):
+    """The same run through the test-only oracle stepper and the engine."""
+    return [cls(network, flows, **kwargs).run(duration_s=duration_s,
+                                              step_s=step_s)
+            for cls in (ReferenceFluidSimulation, FluidSimulation)]
+
+
+class TestEngineKernelParity:
+    """FluidSimulation must agree bit-for-bit with the oracle stepper
+    (``tests/_fluid_oracle.py``)."""
 
     def test_static_scenario(self, small_network):
         flows = [FluidFlow(0, 3), FluidFlow(1, 4), FluidFlow(2, 5),
                  FluidFlow(3, 0, demand_bps=2e6)]
-        ref, vec = self._run_both(small_network, flows,
-                                  link_capacity_bps=10e6)
-        assert np.array_equal(ref.flow_rates_bps, vec.flow_rates_bps)
-        assert ref.device_load_bps == vec.device_load_bps
-        assert ref.flow_paths == vec.flow_paths
+        _assert_runs_identical(*_run_both(small_network, flows,
+                                          link_capacity_bps=10e6))
 
     def test_dynamic_workload(self, small_network):
         flows = [FluidFlow(0, 3), FluidFlow(1, 4, start_s=1.0,
                                             size_bytes=500_000),
                  FluidFlow(2, 5, size_bytes=2_000_000),
                  FluidFlow(4, 1, start_s=3.0, size_bytes=100_000)]
-        ref, vec = self._run_both(small_network, flows,
-                                  link_capacity_bps=10e6)
-        assert np.array_equal(ref.flow_rates_bps, vec.flow_rates_bps)
-        assert np.array_equal(ref.flow_delivered_bits,
-                              vec.flow_delivered_bits)
-        fct_ref, fct_vec = ref.flow_fct_s, vec.flow_fct_s
-        assert ((fct_ref == fct_vec) | (np.isnan(fct_ref)
-                                        & np.isnan(fct_vec))).all()
-        assert ref.device_load_bps == vec.device_load_bps
-        assert ref.perf["allocations_solved"] == \
-            vec.perf["allocations_solved"]
+        ref, vec = _run_both(small_network, flows, link_capacity_bps=10e6)
+        assert ref.flow_fct_s is not None
+        _assert_runs_identical(ref, vec)
 
     def test_capacity_overrides(self, small_network):
         flows = [FluidFlow(0, 3), FluidFlow(1, 4)]
         paths = FluidSimulation(small_network, flows)._paths_at(
             small_network.snapshot(0.0))
         device = path_devices(paths[0], small_network.num_satellites)[0]
-        ref, vec = self._run_both(small_network, flows,
-                                  link_capacity_bps=10e6,
-                                  capacity_overrides={device: 1e6})
-        assert np.array_equal(ref.flow_rates_bps, vec.flow_rates_bps)
-        assert ref.device_load_bps == vec.device_load_bps
+        _assert_runs_identical(*_run_both(
+            small_network, flows, link_capacity_bps=10e6,
+            capacity_overrides={device: 1e6}))
 
-    def test_unknown_kernel_rejected(self, small_network):
-        with pytest.raises(ValueError):
-            FluidSimulation(small_network, [FluidFlow(0, 1)],
-                            kernel="gpu")
+
+@st.composite
+def _dynamic_workloads(draw):
+    """Small mixed workloads: staggered starts, finite sizes, demand
+    caps, and capacity overrides on devices the flows actually use."""
+    num_flows = draw(st.integers(min_value=1, max_value=7))
+    flows = []
+    for _ in range(num_flows):
+        src = draw(st.integers(min_value=0, max_value=5))
+        dst = draw(st.integers(min_value=0, max_value=4))
+        if dst >= src:
+            dst += 1
+        flows.append(FluidFlow(
+            src, dst,
+            demand_bps=draw(st.sampled_from([np.inf, 1e6, 3.5e6, 8e6])),
+            size_bytes=draw(st.one_of(
+                st.none(), st.integers(min_value=10_000,
+                                       max_value=4_000_000))),
+            start_s=draw(st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.5,
+                                          2.75]))))
+    overrides = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=num_flows - 1),
+                  st.integers(min_value=0, max_value=8),
+                  st.sampled_from([0.5e6, 2e6, 25e6])),
+        max_size=3))
+    return flows, overrides
+
+
+class TestEngineOracleProperty:
+    """On random dynamic workloads, FluidSimulation's step equals the
+    pure-Python oracle stepper bit-for-bit: rates, loads, delivered
+    bits, FCTs and the number of allocations solved."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_dynamic_workloads())
+    def test_engine_equals_oracle(self, small_network, workload):
+        flows, overrides = workload
+        paths = FluidSimulation(small_network, flows)._paths_at(
+            small_network.snapshot(0.0))
+        capacity_overrides = {}
+        for flow_index, hop, capacity in overrides:
+            path = paths[flow_index]
+            if path is None:
+                continue
+            devices = path_devices(path, small_network.num_satellites)
+            capacity_overrides[devices[hop % len(devices)]] = capacity
+        _assert_runs_identical(*_run_both(
+            small_network, flows, duration_s=3.0, step_s=1.0,
+            link_capacity_bps=5e6, capacity_overrides=capacity_overrides))

@@ -3,7 +3,7 @@
 The backbone guarantee: a simulation checkpointed at an epoch boundary,
 restored (in this or any process), and advanced to the horizon produces
 stats, reports, and per-flow FCT arrays bit-identical to one that never
-stopped — across the packet engine and both max-min fluid kernels.
+stopped — on the packet engine and the max-min fluid engine.
 Plus the compatibility guards (format version, spec hash), RNG stream
 survival through mid-fault-window checkpoints, sweep warm-starts, live
 mutation equivalence, and the JSON-over-TCP server.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import pickle
 import random
 import threading
@@ -37,6 +38,7 @@ from repro.service import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
                            read_checkpoint_header, resume_sweep,
                            save_checkpoint, spec_fingerprint,
                            sweep_with_checkpoint)
+from repro.service.checkpoint import CHECKPOINT_MAGIC
 from repro.sweep.engine import sweep_timelines
 from repro.sweep.spec import NetworkSpec
 from repro.topology.network import LeoNetwork
@@ -86,12 +88,12 @@ def _small_workload(seed: int = 11, start_s: float = 0.0,
     return WorkloadSchedule(requests, seed=seed)
 
 
-def _make_service(engine: str, kernel: str = "vectorized",
-                  faults=None, workload=None) -> LiveSimulationService:
+def _make_service(engine: str, faults=None,
+                  workload=None) -> LiveSimulationService:
     spec = _small_spec(faults=faults)
     spec = spec.with_workload(_small_workload()
                               if workload is None else workload)
-    return LiveSimulationService(spec, engine=engine, kernel=kernel,
+    return LiveSimulationService(spec, engine=engine,
                                  horizon_s=HORIZON_S, epoch_s=EPOCH_S)
 
 
@@ -126,8 +128,7 @@ def _round_trip(service: LiveSimulationService, path) -> LiveSimulationService:
     return LiveSimulationService.resume(str(path))
 
 
-ENGINES = [("packet", "vectorized"), ("fluid", "reference"),
-           ("fluid", "vectorized")]
+ENGINES = ["packet", "fluid"]
 
 
 # ----------------------------------------------------------------------
@@ -186,6 +187,56 @@ class TestCheckpointContainer:
         # The matching spec passes the same gate.
         load_checkpoint(str(path), expected_spec=spec)
 
+    def test_truncated_or_corrupt_body_rejected(self, tmp_path):
+        """A damaged pickle body fails its header digest and raises
+        CheckpointError before anything is unpickled."""
+        service = _make_service("packet")
+        service.advance_epoch(2)
+        path = tmp_path / "good.ckpt"
+        service.save(str(path))
+        data = path.read_bytes()
+        length_end = len(CHECKPOINT_MAGIC) + 8
+        body_start = length_end + int.from_bytes(
+            data[len(CHECKPOINT_MAGIC):length_end], "big")
+        body_len = len(data) - body_start
+        damaged = {f"cut{cut}": data[:len(data) - cut]
+                   for cut in (1, 100, body_len // 2, body_len)}
+        flipped = bytearray(data)
+        flipped[body_start + body_len // 3] ^= 0x01
+        damaged["flip"] = bytes(flipped)
+        for name, blob in damaged.items():
+            bad = tmp_path / f"{name}.ckpt"
+            bad.write_bytes(blob)
+            with pytest.raises(CheckpointError, match="header digest"):
+                load_checkpoint(str(bad))
+            with pytest.raises(CheckpointError, match="header digest"):
+                LiveSimulationService.resume(str(bad))
+        assert LiveSimulationService.resume(str(path)).clock_s == 2.0
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        """A save that raises — while pickling or while writing — leaves
+        the previous checkpoint resumable and no temp file behind."""
+        service = _make_service("packet")
+        service.advance_epoch(2)
+        path = tmp_path / "c.ckpt"
+        service.save(str(path))
+        service.advance_epoch(1)
+        service.unpicklable = lambda: None
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            service.save(str(path))
+        del service.unpicklable
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            service.save(str(path))
+        monkeypatch.undo()
+
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt"]
+        assert LiveSimulationService.resume(str(path)).clock_s == 2.0
+
     def test_spec_fingerprint_is_content_hash(self):
         assert spec_fingerprint(_small_spec()) == \
             spec_fingerprint(_small_spec())
@@ -200,12 +251,12 @@ class TestCheckpointContainer:
 # ----------------------------------------------------------------------
 
 class TestRoundTripDeterminism:
-    @pytest.mark.parametrize("engine,kernel", ENGINES)
-    def test_epoch_boundary_round_trip(self, engine, kernel, tmp_path):
-        baseline = _make_service(engine, kernel)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_epoch_boundary_round_trip(self, engine, tmp_path):
+        baseline = _make_service(engine)
         baseline.run_to_horizon()
 
-        interrupted = _make_service(engine, kernel)
+        interrupted = _make_service(engine)
         interrupted.advance_epoch(5)
         restored = _round_trip(interrupted, tmp_path / "mid.ckpt")
         assert restored.clock_s == 5.0
@@ -250,31 +301,30 @@ class TestRoundTripDeterminism:
 
 @st.composite
 def _boundary_scenario(draw):
-    engine, kernel = draw(st.sampled_from(ENGINES))
+    engine = draw(st.sampled_from(ENGINES))
     epoch = draw(st.integers(min_value=1,
                              max_value=int(HORIZON_S / EPOCH_S) - 1))
-    return engine, kernel, epoch
+    return engine, epoch
 
 
 _BASELINES: dict = {}
 
 
-def _baseline_outputs(engine: str, kernel: str):
-    key = (engine, kernel)
-    if key not in _BASELINES:
-        service = _make_service(engine, kernel)
+def _baseline_outputs(engine: str):
+    if engine not in _BASELINES:
+        service = _make_service(engine)
         service.run_to_horizon()
-        _BASELINES[key] = (_report_json(service), service.fct_values())
-    return _BASELINES[key]
+        _BASELINES[engine] = (_report_json(service), service.fct_values())
+    return _BASELINES[engine]
 
 
 class TestRandomBoundaryProperty:
     @given(_boundary_scenario())
     @settings(max_examples=10, deadline=None)
     def test_round_trip_at_any_event_boundary(self, scenario):
-        engine, kernel, epoch = scenario
-        expected_report, expected_fct = _baseline_outputs(engine, kernel)
-        service = _make_service(engine, kernel)
+        engine, epoch = scenario
+        expected_report, expected_fct = _baseline_outputs(engine)
+        service = _make_service(engine)
         service.advance_epoch(epoch)
         # In-memory pickle round trip == file round trip (same bytes
         # path), without hypothesis needing a per-example tmp dir.
@@ -385,16 +435,14 @@ class TestRngStreamSurvival:
 # ----------------------------------------------------------------------
 
 class TestLiveMutation:
-    @pytest.mark.parametrize("engine,kernel",
-                             [("packet", "vectorized"),
-                              ("fluid", "vectorized")])
-    def test_attach_workload_equals_baked(self, engine, kernel):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_attach_workload_equals_baked(self, engine):
         extra = _small_workload(seed=31, start_s=4.0, horizon_s=6.0)
         baked = _make_service(
-            engine, kernel, workload=_small_workload().merged(extra))
+            engine, workload=_small_workload().merged(extra))
         baked.run_to_horizon()
 
-        live = _make_service(engine, kernel)
+        live = _make_service(engine)
         live.advance_epoch(3)  # extra's first start is >= 4.0
         live.attach_workload(extra)
         live.run_to_horizon()

@@ -402,7 +402,6 @@ class TestCli:
         payload = json.loads(report.read_text())
         provenance = payload["provenance"]
         assert provenance["engine"] == "maxmin"
-        assert provenance["kernel"] == "vectorized"
         assert provenance["shell"] == "S1"
         assert provenance["duration_s"] == 4.0
         # Satellite: phases section folded into the report.

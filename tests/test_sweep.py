@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sweep import (
-    HAVE_SHARED_MEMORY,
     ISL_BUILDERS,
     NetworkSpec,
-    SharedArrayPack,
-    attach_arrays,
     isl_builder_name,
     register_isl_builder,
     resolve_workers,
@@ -196,64 +193,6 @@ class TestSweepTimelines:
                         workers=1, metrics=registry)
         assert registry.gauges["sweep.workers"].value == 1.0
         assert "sweep.worker.0.wall_s" in registry.series_logs
-
-
-@pytest.mark.skipif(not HAVE_SHARED_MEMORY,
-                    reason="multiprocessing.shared_memory unavailable")
-class TestSharedMemoryArrays:
-    def test_round_trip(self):
-        source = {
-            "times_s": np.arange(10, dtype=np.float64) * 0.1,
-            "isl_pairs": np.array([[0, 1], [1, 2]], dtype=np.int64),
-        }
-        pack = SharedArrayPack.create(source)
-        try:
-            with attach_arrays(pack.descriptors) as attached:
-                for name, array in source.items():
-                    view = attached.arrays[name]
-                    assert np.array_equal(view, array)
-                    assert view.dtype == array.dtype
-                    assert not view.flags.writeable
-        finally:
-            pack.unlink()
-
-    def test_zero_size_array(self):
-        pack = SharedArrayPack.create(
-            {"empty": np.empty((0, 2), dtype=np.int64)})
-        try:
-            assert pack.descriptors["empty"].shm_name is None
-            with attach_arrays(pack.descriptors) as attached:
-                assert attached.arrays["empty"].shape == (0, 2)
-                assert attached.arrays["empty"].dtype == np.int64
-        finally:
-            pack.unlink()
-
-    def test_unlink_idempotent(self):
-        pack = SharedArrayPack.create({"x": np.ones(4)})
-        pack.unlink()
-        pack.unlink()
-
-    def test_sweep_parity_with_and_without_shared_memory(
-            self, small_network):
-        pairs = [(0, 3), (1, 4)]
-        times = snapshot_times(6.0, 1.0)
-        spec = NetworkSpec.from_network(small_network)
-        shared = sweep_timelines(spec, pairs, times, workers=2,
-                                 use_shared_memory=True)
-        pickled = sweep_timelines(spec, pairs, times, workers=2,
-                                  use_shared_memory=False)
-        for pair in pairs:
-            assert np.array_equal(shared[pair].distances_m,
-                                  pickled[pair].distances_m,
-                                  equal_nan=True)
-            assert shared[pair].paths == pickled[pair].paths
-
-    def test_spec_static_isl_pairs_matches_build(self, small_network):
-        spec = NetworkSpec.from_network(small_network)
-        assert np.array_equal(spec.static_isl_pairs(),
-                              small_network.isl_pairs)
-        rebuilt = spec.build(isl_pairs=spec.static_isl_pairs())
-        assert np.array_equal(rebuilt.isl_pairs, small_network.isl_pairs)
 
 
 class TestDynamicStateWorkers:
